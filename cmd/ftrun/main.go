@@ -58,7 +58,6 @@ func main() {
 		servers  = flag.Int("servers", 1, "number of checkpoint servers")
 		plat     = flag.String("platform", "ethernet", "platform: ethernet, myrinet-gm, myrinet-tcp, grid")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 0, "event-kernel shards (parallel staging workers); 0/1 = sequential, output is identical either way")
 		failAt   = flag.Duration("fail-at", 0, "inject a failure at this virtual time (0 = none)")
 		failRank = flag.Int("fail-rank", 0, "rank killed by -fail-at")
 		mttf     = flag.Duration("mttf", 0, "mean time to failure for random failures (0 = none)")
@@ -113,7 +112,6 @@ func main() {
 		Recovery:   ftckpt.RecoveryMode(*recovery),
 		Spares:     *spares,
 		Seed:       *seed,
-		Shards:     *shards,
 		MTTF:       *mttf,
 		ServerMTTF: *srvMTTF,
 		NodeMTTF:   *nodeMTTF,
@@ -408,7 +406,7 @@ func usage() {
 		title string
 		names []string
 	}{
-		{"Workload and platform", []string{"bench", "class", "np", "ppn", "platform", "seed", "shards"}},
+		{"Workload and platform", []string{"bench", "class", "np", "ppn", "platform", "seed"}},
 		{"Protocol", []string{"proto", "interval"}},
 		{"Storage and replication", []string{"servers", "replicas", "quorum", "retries", "retry-backoff",
 			"storage-levels", "incremental", "compress"}},

@@ -191,10 +191,10 @@ func TestRunValidation(t *testing.T) {
 
 func chaosOpts(replicas int) Options {
 	return Options{
-		Workload:     "cg-real",
-		NP:           4,
-		Protocol:     "pcl",
-		Interval:     4 * time.Millisecond,
+		Workload: "cg-real",
+		NP:       4,
+		Protocol: "pcl",
+		Interval: 4 * time.Millisecond,
 		Servers:  2,
 		Replication: &ReplicationSpec{
 			Replicas:     replicas,

@@ -54,31 +54,36 @@ func checkGolden(t *testing.T, o Options) {
 	}
 }
 
+// btKillGolden is the per-protocol scenario of the golden suite: BT.A at
+// NP=16 through a rank kill and rollback-restart.
+func btKillGolden(proto Protocol) Options {
+	return Options{
+		Workload:     WorkloadBT,
+		Class:        ClassA,
+		NP:           16,
+		ProcsPerNode: 2,
+		Protocol:     proto,
+		Interval:     2 * time.Second,
+		Servers:      2,
+		Seed:         42,
+		Failures:     []Failure{KillRank(3*time.Second, 5)},
+	}
+}
+
 // TestGoldenDeterminism runs each protocol twice through a failure and
 // recovery and requires byte-identical artifacts.
 func TestGoldenDeterminism(t *testing.T) {
 	for _, proto := range []Protocol{Pcl, Vcl, Mlog} {
 		t.Run(string(proto), func(t *testing.T) {
-			checkGolden(t, Options{
-				Workload:     WorkloadBT,
-				Class:        ClassA,
-				NP:           16,
-				ProcsPerNode: 2,
-				Protocol:     proto,
-				Interval:     2 * time.Second,
-				Servers:      2,
-				Seed:         42,
-				Failures:     []Failure{KillRank(3*time.Second, 5)},
-			})
+			checkGolden(t, btKillGolden(proto))
 		})
 	}
 }
 
-// TestGoldenDeterminismReplicated covers the replication + heartbeat path,
-// whose retry timers and failover fetches must be as reproducible as the
-// base protocols.
-func TestGoldenDeterminismReplicated(t *testing.T) {
-	checkGolden(t, Options{
+// replicatedGolden is the replication + heartbeat scenario of the golden
+// suite: a server kill then a rank kill, recovered through failover.
+func replicatedGolden() Options {
+	return Options{
 		Workload:     WorkloadCGReal,
 		NP:           8,
 		ProcsPerNode: 2,
@@ -92,7 +97,75 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 			KillServer(11*time.Millisecond, 1),
 			KillRank(17*time.Millisecond, 3),
 		},
+	}
+}
+
+// TestGoldenDeterminismReplicated covers the replication + heartbeat path,
+// whose retry timers and failover fetches must be as reproducible as the
+// base protocols.
+func TestGoldenDeterminismReplicated(t *testing.T) {
+	checkGolden(t, replicatedGolden())
+}
+
+// runChaosSweep runs the golden suite's replicated, heartbeat-enabled
+// 4-point chaos sweep with the given worker count and returns the
+// reports (registry pointers stripped), the merged metrics JSON, each
+// point's Chrome trace and the serialized progress log.
+func runChaosSweep(t *testing.T, jobs int) ([]Report, []byte, [][]byte, []byte) {
+	t.Helper()
+	repl := &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}
+	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
+	pts := []Options{
+		{Protocol: Pcl, Seed: 7, Failures: []Failure{
+			KillServer(11*time.Millisecond, 1), KillRank(17*time.Millisecond, 3)}},
+		{Protocol: Vcl, Seed: 11, Failures: []Failure{
+			KillRank(13*time.Millisecond, 2), KillNode(23*time.Millisecond, 1)}},
+		{Protocol: Mlog, Seed: 13, Failures: []Failure{
+			KillServer(9*time.Millisecond, 0)}},
+		{Protocol: Pcl, Seed: 21, Failures: []Failure{
+			KillNode(15*time.Millisecond, 2)}},
+	}
+	cols := make([]*Collector, len(pts))
+	for i := range pts {
+		pts[i].Workload = WorkloadCGReal
+		pts[i].NP = 8
+		pts[i].ProcsPerNode = 2
+		pts[i].Interval = 5 * time.Millisecond
+		pts[i].Servers = 3
+		pts[i].Replication = repl
+		pts[i].Heartbeat = hb
+		cols[i] = NewCollector()
+		pts[i].Sink = cols[i]
+		// Non-nil Verbose opts the point into the sweep's ordered
+		// trace sink; the function itself is replaced by Sweep.
+		pts[i].Verbose = func(string, ...any) {}
+	}
+	met := NewMetrics()
+	var traceLog bytes.Buffer
+	reps, err := Sweep(pts, SweepOptions{
+		Jobs:    jobs,
+		Metrics: met,
+		Trace:   func(format string, args ...any) { fmt.Fprintf(&traceLog, format+"\n", args...) },
 	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	var metJSON bytes.Buffer
+	if err := met.WriteJSON(&metJSON); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	chromes := make([][]byte, len(cols))
+	for i, col := range cols {
+		var b bytes.Buffer
+		if err := col.WriteChromeTrace(&b); err != nil {
+			t.Fatalf("WriteChromeTrace: %v", err)
+		}
+		chromes[i] = b.Bytes()
+	}
+	for i := range reps {
+		reps[i].Metrics = nil
+	}
+	return reps, metJSON.Bytes(), chromes, traceLog.Bytes()
 }
 
 // TestGoldenDeterminismChaosSweep runs a replicated, heartbeat-enabled
@@ -107,69 +180,8 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	repl := &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}
-	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
-	base := []Options{
-		{Protocol: Pcl, Seed: 7, Failures: []Failure{
-			KillServer(11*time.Millisecond, 1), KillRank(17*time.Millisecond, 3)}},
-		{Protocol: Vcl, Seed: 11, Failures: []Failure{
-			KillRank(13*time.Millisecond, 2), KillNode(23*time.Millisecond, 1)}},
-		{Protocol: Mlog, Seed: 13, Failures: []Failure{
-			KillServer(9*time.Millisecond, 0)}},
-		{Protocol: Pcl, Seed: 21, Failures: []Failure{
-			KillNode(15*time.Millisecond, 2)}},
-	}
-	for i := range base {
-		base[i].Workload = WorkloadCGReal
-		base[i].NP = 8
-		base[i].ProcsPerNode = 2
-		base[i].Interval = 5 * time.Millisecond
-		base[i].Servers = 3
-		base[i].Replication = repl
-		base[i].Heartbeat = hb
-	}
-
-	runOnce := func() ([]Report, []byte, [][]byte, []byte) {
-		pts := make([]Options, len(base))
-		cols := make([]*Collector, len(base))
-		for i := range base {
-			pts[i] = base[i]
-			cols[i] = NewCollector()
-			pts[i].Sink = cols[i]
-			// Non-nil Verbose opts the point into the sweep's ordered
-			// trace sink; the function itself is replaced by Sweep.
-			pts[i].Verbose = func(string, ...any) {}
-		}
-		met := NewMetrics()
-		var traceLog bytes.Buffer
-		reps, err := Sweep(pts, SweepOptions{
-			Jobs:    4,
-			Metrics: met,
-			Trace:   func(format string, args ...any) { fmt.Fprintf(&traceLog, format+"\n", args...) },
-		})
-		if err != nil {
-			t.Fatalf("Sweep: %v", err)
-		}
-		var metJSON bytes.Buffer
-		if err := met.WriteJSON(&metJSON); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		chromes := make([][]byte, len(cols))
-		for i, col := range cols {
-			var b bytes.Buffer
-			if err := col.WriteChromeTrace(&b); err != nil {
-				t.Fatalf("WriteChromeTrace: %v", err)
-			}
-			chromes[i] = b.Bytes()
-		}
-		for i := range reps {
-			reps[i].Metrics = nil
-		}
-		return reps, metJSON.Bytes(), chromes, traceLog.Bytes()
-	}
-
-	r1, m1, c1, l1 := runOnce()
-	r2, m2, c2, l2 := runOnce()
+	r1, m1, c1, l1 := runChaosSweep(t, 4)
+	r2, m2, c2, l2 := runChaosSweep(t, 4)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Errorf("point %d: Report differs across identical sweeps:\n  first  %+v\n  second %+v", i, r1[i], r2[i])
@@ -235,11 +247,10 @@ func TestGoldenDeterminismULFM(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminismGrid covers the multi-cluster topology: WAN flow
-// caps and per-cluster servers stress the fluid-flow rescheduling whose
-// ordering the allocation work reworked.
-func TestGoldenDeterminismGrid(t *testing.T) {
-	checkGolden(t, Options{
+// gridGolden is the multi-cluster scenario of the golden suite: Vcl on
+// the grid platform, failure-free.
+func gridGolden() Options {
+	return Options{
 		Workload:     WorkloadBT,
 		Class:        ClassA,
 		NP:           16,
@@ -248,5 +259,12 @@ func TestGoldenDeterminismGrid(t *testing.T) {
 		Interval:     2 * time.Second,
 		Platform:     PlatformGrid,
 		Seed:         9,
-	})
+	}
+}
+
+// TestGoldenDeterminismGrid covers the multi-cluster topology: WAN flow
+// caps and per-cluster servers stress the fluid-flow rescheduling whose
+// ordering the allocation work reworked.
+func TestGoldenDeterminismGrid(t *testing.T) {
+	checkGolden(t, gridGolden())
 }

@@ -124,7 +124,6 @@ func (c *Channel) startNext() {
 	f := &Flow{
 		net:       n,
 		seq:       n.flowSeq,
-		dst:       c.dst,
 		remaining: float64(m.size),
 		size:      m.size,
 		last:      n.k.Now(),
@@ -167,7 +166,7 @@ func (c *Channel) startSmall(m message) {
 	k.AtArg(ready, smallNext, c)
 	sm := n.getSmall()
 	sm.c, sm.payload, sm.size = c, m.payload, m.size
-	n.deliverAt(c.dst, ready+lat, smallDeliver, sm)
+	k.AtArg(ready+lat, smallDeliver, sm)
 }
 
 // smallNext fires when a fast-path message clears the transmit horizon:
