@@ -50,9 +50,9 @@ func BenchmarkKernelCancel(b *testing.B) {
 }
 
 // BenchmarkAdvance measures the LP park/wake round trip: one logical
-// process advancing virtual time b.N times — two goroutine handoffs plus a
-// timer schedule/fire per op.  This is the dominant cost of every compute
-// step in a simulated MPI run.
+// process advancing virtual time b.N times — two coroutine switches
+// (kernel→LP and back) plus a timer schedule/fire per op.  This is the
+// dominant cost of every compute step in a simulated MPI run.
 func BenchmarkAdvance(b *testing.B) {
 	b.ReportAllocs()
 	k := New(1)
@@ -61,6 +61,30 @@ func BenchmarkAdvance(b *testing.B) {
 			p.Advance(time.Microsecond)
 		}
 	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkLPRoundRobin is BenchmarkAdvance spread over 512 LPs that
+// take turns: every op resumes a different LP, the pattern of an NP=512
+// job's compute steps.
+func BenchmarkLPRoundRobin(b *testing.B) {
+	b.ReportAllocs()
+	const lps = 512
+	k := New(1)
+	for i := 0; i < lps; i++ {
+		n := b.N / lps
+		if i < b.N%lps {
+			n++
+		}
+		k.Go("rr", func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Advance(time.Microsecond)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

@@ -1,12 +1,21 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23, the first
+// with iter.Pull (go vet rejects the call in a go1.22 file), without
+// bumping the module's go directive: the benchmark module requires this
+// one and must keep building at go1.22.
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// A simulation is a set of logical processes (LPs) — ordinary goroutines
-// created with Kernel.Go — plus a queue of timed event callbacks.  The
-// kernel runs exactly one thing at a time: either a single LP (until it
-// parks on a timer or a Cond) or a single event callback.  Events with
-// equal timestamps fire in scheduling order, and woken LPs run in wake
-// order, so a simulation is bit-reproducible: the same program produces
-// the same trace on every run.
+// A simulation is a set of logical processes (LPs) — coroutines created
+// with Kernel.Go on top of iter.Pull — plus a queue of timed event
+// callbacks.  The kernel runs exactly one thing at a time: either a single
+// LP (until it parks on a timer or a Cond) or a single event callback.
+// Switching between the kernel and an LP is a direct coroutine switch, not
+// a trip through the goroutine scheduler.  Events with equal timestamps
+// fire in scheduling order, and woken LPs run in wake order, so a
+// simulation is bit-reproducible: the same program produces the same trace
+// on every run.
 //
 // Virtual time is a time.Duration measured from the start of the
 // simulation.  It only advances when every LP is parked and the earliest
@@ -26,6 +35,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -47,16 +57,17 @@ const (
 	stateDead
 )
 
-// Proc is a logical process: a goroutine whose execution interleaves with
+// Proc is a logical process: a coroutine whose execution interleaves with
 // the rest of the simulation only at kernel calls (Advance, Cond.Wait,
-// Yield).  All Proc methods must be called from the LP's own goroutine
-// while it holds the execution token, i.e. from inside the function passed
-// to Kernel.Go.
+// Yield).  All Proc methods must be called from the LP itself while it
+// holds the execution token, i.e. from inside the function passed to
+// Kernel.Go.
 type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	wake   chan struct{}
+	next   func() (struct{}, bool) // kernel side: run the LP until it parks or exits
+	yield  func(struct{}) bool     // LP side: hand control back to the kernel
 	state  procState
 	daemon bool
 	killed error // poison: delivered at the next kernel call
@@ -109,7 +120,6 @@ type Kernel struct {
 
 	procs   []*Proc
 	live    int // non-daemon LPs not yet dead
-	yield   chan *Proc
 	running *Proc
 	stopped bool
 	stopErr error
@@ -121,10 +131,7 @@ type Kernel struct {
 // seed.  The source is available through Rand for workloads that need
 // reproducible pseudo-randomness tied to the simulation.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		yield: make(chan *Proc),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Rand returns the kernel's deterministic random source.  It must only be
@@ -321,24 +328,23 @@ func (k *Kernel) Cancel(id EventID) bool {
 // Go spawns a new LP running fn.  It may be called before Run or from any
 // LP or event callback during the simulation; the new LP becomes runnable
 // immediately but does not start executing until the scheduler selects it.
+//
+// The LP body runs as an iter.Pull coroutine.  Its stop func is not kept:
+// cleanup drives every unfinished LP to its end through next, which
+// finishes the coroutine just as stop would.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:    k,
-		id:   len(k.procs),
-		name: name,
-		wake: make(chan struct{}, 1),
-	}
+	p := &Proc{k: k, id: len(k.procs), name: name}
 	k.procs = append(k.procs, p)
 	k.live++
 	p.state = stateRunnable
 	k.pushRunq(p)
-	go func() {
-		<-p.wake
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
-					// Re-panicking here would crash on the LP's own
-					// goroutine without unwinding Run; record and stop.
+					// Re-panicking here would crash out of Run through
+					// next; record the panic and stop so Run returns it.
 					k.stopped = true
 					k.stopErr = fmt.Errorf("sim: LP %q panicked: %v", p.name, r)
 				}
@@ -347,11 +353,10 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 			if !p.daemon {
 				k.live--
 			}
-			k.yield <- p
 		}()
 		p.checkKilled()
 		fn(p)
-	}()
+	})
 	return p
 }
 
@@ -440,9 +445,7 @@ func (k *Kernel) ready(p *Proc) {
 func (p *Proc) park() {
 	p.checkKilled()
 	p.state = stateParked
-	p.k.running = nil
-	p.k.yield <- p
-	<-p.wake
+	p.yield(struct{}{})
 	p.checkKilled()
 }
 
@@ -467,15 +470,10 @@ func (p *Proc) Advance(d Time) {
 // current instant, without advancing time.
 func (p *Proc) Yield() {
 	p.checkKilled()
-	p.k.ready2(p)
-	p.park()
-}
-
-// ready2 is ready for a running LP that is about to park (Yield).
-func (k *Kernel) ready2(p *Proc) {
-	k.pushRunq(p)
-	// park() will set stateParked then the queued entry flips it back; to
-	// keep the state machine simple we mark it runnable when dequeued.
+	p.state = stateRunnable
+	p.k.pushRunq(p)
+	p.yield(struct{}{})
+	p.checkKilled()
 }
 
 // Now returns the current virtual time (convenience mirror of Kernel.Now).
@@ -497,13 +495,12 @@ func (k *Kernel) Stop(err error) {
 // parked but no event can ever wake them.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// runLP hands the execution token to a runnable LP and blocks until it
+// runLP hands the execution token to a runnable LP and resumes when it
 // parks, exits, or yields.
 func (k *Kernel) runLP(p *Proc) {
 	p.state = stateRunning
 	k.running = p
-	p.wake <- struct{}{}
-	<-k.yield
+	p.next()
 	k.running = nil
 }
 
@@ -557,9 +554,10 @@ func (k *Kernel) Run() error {
 	return k.stopErr
 }
 
-// cleanup unwinds every LP goroutine still alive when Run returns (parked
-// daemons, LPs outliving an early Stop) so that simulations do not leak
-// goroutines across tests.
+// cleanup unwinds every LP still alive when Run returns (parked daemons,
+// LPs outliving an early Stop, LPs that never ran) so that simulations do
+// not leak coroutines across tests: each resumes into its poison, runs its
+// deferred functions and finishes.
 func (k *Kernel) cleanup() {
 	for _, p := range k.procs {
 		if p.state == stateDead {
@@ -568,8 +566,7 @@ func (k *Kernel) cleanup() {
 		if p.killed == nil {
 			p.killed = ErrKilled
 		}
-		p.wake <- struct{}{}
-		<-k.yield
+		p.next()
 	}
 }
 

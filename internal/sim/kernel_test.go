@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,12 +262,154 @@ func TestYieldFairness(t *testing.T) {
 	}
 }
 
+// TestLPPanicPropagates checks that an LP's panic surfaces as Run's error
+// on either side of a coroutine switch: before the LP first parks, after
+// it has parked, and in an LP spawned by another LP during the run.
 func TestLPPanicPropagates(t *testing.T) {
+	cases := []struct {
+		name  string
+		spawn func(k *Kernel)
+		lp    string
+		end   Time
+	}{
+		{"before first park", func(k *Kernel) {
+			k.Go("bad", func(p *Proc) { panic("kaboom") })
+		}, "bad", 0},
+		{"after Advance", func(k *Kernel) {
+			k.Go("bad", func(p *Proc) {
+				p.Advance(time.Millisecond)
+				panic("kaboom")
+			})
+		}, "bad", time.Millisecond},
+		{"spawned mid-run", func(k *Kernel) {
+			k.Go("parent", func(p *Proc) {
+				p.Advance(time.Millisecond)
+				k.Go("child", func(c *Proc) {
+					c.Advance(time.Millisecond)
+					panic("kaboom")
+				})
+				p.Advance(time.Hour)
+			})
+		}, "child", 2 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New(1)
+			tc.spawn(k)
+			err := k.Run()
+			want := fmt.Sprintf("LP %q panicked: kaboom", tc.lp)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if k.Now() != tc.end {
+				t.Fatalf("sim ended at %v, want %v", k.Now(), tc.end)
+			}
+		})
+	}
+}
+
+// TestKillSpawnedLPParkedOnCond kills an LP that another LP spawned
+// mid-run (the shape of a ULFM spare brought in by a repair) while it is
+// parked on a Cond.  The kill must unwind the spare through its deferred
+// Cond.remove, leaving no stale waiter behind.
+func TestKillSpawnedLPParkedOnCond(t *testing.T) {
 	k := New(1)
-	k.Go("bad", func(p *Proc) { panic("kaboom") })
-	err := k.Run()
-	if err == nil {
-		t.Fatal("Run returned nil for panicking LP")
+	c := NewCond(k)
+	boom := errors.New("node lost")
+	var spare *Proc
+	unwound := false
+	k.Go("repair", func(p *Proc) {
+		p.Advance(time.Millisecond)
+		spare = k.Go("spare", func(s *Proc) {
+			defer func() { unwound = true }()
+			for {
+				c.Wait(s)
+			}
+		})
+		p.Advance(time.Millisecond)
+		if len(c.waiters) != 1 {
+			t.Errorf("%d waiters before the kill, want 1", len(c.waiters))
+		}
+		k.Kill(spare, boom)
+		p.Advance(time.Millisecond)
+		if len(c.waiters) != 0 {
+			t.Errorf("killed LP still waits on the Cond (%d waiters)", len(c.waiters))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !unwound || spare.state != stateDead {
+		t.Fatalf("spare not unwound: deferred ran %v, state %v", unwound, spare.state)
+	}
+	if spare.Killed() != boom {
+		t.Fatalf("Killed() = %v, want %v", spare.Killed(), boom)
+	}
+}
+
+// TestKillYieldedLP pins Yield's bookkeeping: a yielded LP already sits
+// on the run queue as runnable, so killing it must not queue it again.
+func TestKillYieldedLP(t *testing.T) {
+	k := New(1)
+	entries := -1
+	victim := k.Go("victim", func(p *Proc) {
+		p.Yield()
+		t.Error("victim survived Yield past kill")
+	})
+	k.Go("killer", func(p *Proc) {
+		k.Kill(victim, nil)
+		entries = 0
+		for _, q := range k.runq[k.runqHead:] {
+			if q == victim {
+				entries++
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if entries != 1 {
+		t.Fatalf("killed yielded LP has %d run-queue entries, want 1", entries)
+	}
+	if victim.Killed() != ErrKilled || victim.state != stateDead {
+		t.Fatalf("victim: Killed() = %v, state %v", victim.Killed(), victim.state)
+	}
+}
+
+// TestNoGoroutineLeak runs kernels that end with every kind of unfinished
+// LP — a parked daemon, an LP sleeping past the end, an LP that never ran —
+// and checks that cleanup finishes all of their coroutines.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		k := New(int64(i))
+		c := NewCond(k)
+		k.Go("daemon", func(p *Proc) {
+			p.SetDaemon(true)
+			for {
+				c.Wait(p)
+			}
+		})
+		k.Go("sleeper", func(p *Proc) { p.Advance(time.Hour) })
+		k.Go("stopper", func(p *Proc) {
+			p.Advance(time.Millisecond)
+			k.Go("never", func(*Proc) { t.Error("LP spawned at Stop ran") })
+			k.Stop(nil)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if k.Now() != time.Millisecond {
+			t.Fatalf("kernel %d stopped at %v, want 1ms", i, k.Now())
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after 50 kernels, %d before", n, base)
 	}
 }
 
