@@ -9,19 +9,20 @@
 //	ftrun -bench cg-real -np 8 -proto pcl -interval 5ms -fail-at 20ms -fail-rank 3 -v
 //	ftrun -bench jacobi -np 8 -proto pcl -interval 25ms -recovery ulfm -spares 2 -fail-at 40ms -fail-rank 3
 //
+// -servers, -replicas, -quorum, -retries and -retry-backoff build the
+// checkpoint storage's one servers level, the paper's single tier.
 // With -chaos N the run executes under a seeded random failure schedule
 // (rank, node, checkpoint-server, staging-buffer and PFS-target kills)
-// and checks the recovery invariants; replication across servers is
-// controlled by -replicas and -quorum, and -heartbeat enables the
+// and checks the recovery invariants; -heartbeat enables the
 // ping/timeout failure detector:
 //
 //	ftrun -bench cg-real -np 8 -proto pcl -interval 5ms -servers 2 -replicas 2 -quorum 1 \
 //	      -chaos 3 -chaos-seed 7 -chaos-server-frac 0.3 -chaos-until 60ms
 //
-// -storage-levels selects the multi-level checkpoint storage hierarchy
-// instead of the flat server model (levels fastest-first; the level
-// carries the server/replica counts, so -servers/-replicas/-quorum must
-// stay unset); -incremental and -compress tune the image planner:
+// -storage-levels spells out the whole level list instead (levels
+// fastest-first; its servers level carries the server/replica counts, so
+// -servers/-replicas/-quorum/-retries/-retry-backoff must stay unset);
+// -incremental and -compress tune the image planner:
 //
 //	ftrun -bench cg-real -np 8 -proto pcl -interval 5ms \
 //	      -storage-levels buffer,servers:2x2,pfs:4x2 -incremental -compress
@@ -118,7 +119,7 @@ func main() {
 	}
 	if *storage != "" {
 		// The hierarchy's levels carry the server and replication knobs;
-		// the flat flags would silently disagree with them.
+		// the servers-level flags would silently disagree with them.
 		for _, name := range []string{"servers", "replicas", "quorum", "retries", "retry-backoff"} {
 			if flagSet(name) {
 				fmt.Fprintf(os.Stderr, "ftrun: -%s conflicts with -storage-levels (set it on the hierarchy's servers level)\n", name)
@@ -142,13 +143,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ftrun: -compress requires -storage-levels")
 			os.Exit(2)
 		}
-		o.Servers = *servers
-		o.Replication = &ftckpt.ReplicationSpec{
+		o.Storage = &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{{
+			Kind:         ftckpt.LevelServers,
+			Servers:      *servers,
 			Replicas:     *replicas,
 			WriteQuorum:  *quorum,
 			StoreRetries: *retries,
 			RetryBackoff: *backoff,
-		}
+		}}}
 	}
 	if *proto != "none" {
 		o.Interval = *interval

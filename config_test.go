@@ -2,12 +2,13 @@ package ftckpt
 
 // Table tests for buildConfig: the typed facade must accept every
 // supported enum value (and the legacy string literals, which still
-// compile through the string-backed types), reject unknown values with an
-// error naming the Options field, forward the Replication/Heartbeat
-// specs, and reject Storage conflicts with an error naming both sides.
+// compile through the string-backed types), reject unknown values with a
+// *ConfigError naming the Options field, forward the Storage/Heartbeat
+// specs without touching the caller's, and reject Storage conflicts.
 
 import (
-	"strings"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,96 +73,114 @@ func TestBuildConfigLegacyLiterals(t *testing.T) {
 }
 
 func TestBuildConfigErrors(t *testing.T) {
+	servers2 := &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}
 	cases := []struct {
-		name string
-		o    Options
-		want string // substring the error must contain (the field name)
+		name  string
+		o     Options
+		field string // the *ConfigError's Field
 	}{
 		{"np", Options{}, "Options.NP"},
 		{"protocol", Options{NP: 4, Protocol: "tcp"}, "Options.Protocol"},
 		{"platform", Options{NP: 4, Platform: "atm"}, "Options.Platform"},
 		{"workload", Options{NP: 4, Workload: "ft"}, "Options.Workload"},
 		{"class", Options{NP: 4, Workload: WorkloadBT, Class: "Z"}, "Options.Class"},
-		{"failure kind", Options{NP: 4, Failures: []Failure{{At: time.Second, Kind: "rack"}}}, "Options.Failures"},
-		{"servers vs storage", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Servers: 2,
-			Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
-			"Options.Servers conflicts with Options.Storage"},
-		{"replication vs storage", Options{NP: 4, Protocol: Pcl, Interval: time.Second,
-			Replication: &ReplicationSpec{Replicas: 2},
-			Storage:     &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
-			"Options.Replication conflicts with Options.Storage"},
+		{"recovery", Options{NP: 4, Recovery: "pray"}, "Options.Recovery"},
+		{"spares", Options{NP: 4, Spares: -1}, "Options.Spares"},
+		{"failure kind", Options{NP: 4, Failures: []Failure{KillRank(time.Second, 0), {At: time.Second, Kind: "rack"}}},
+			"Options.Failures[1].Kind"},
+		{"servers vs storage", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Servers: 2, Storage: servers2},
+			"Options.Servers"},
+		{"spares on grid", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Platform: PlatformGrid, Spares: 1},
+			"Options.Spares"},
 		{"storage on grid", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Platform: PlatformGrid,
-			Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
+			Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelBuffer}, {Kind: LevelServers, Servers: 2}}}},
 			"Options.Storage"},
+		{"np beyond grid", Options{NP: 1 << 20, Platform: PlatformGrid}, "Options.NP"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := buildConfig(tc.o)
-			if err == nil {
-				t.Fatalf("expected error containing %q, got nil", tc.want)
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("got %v (%T), want a *ConfigError on %q", err, err, tc.field)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not contain %q", err, tc.want)
+			if ce.Field != tc.field {
+				t.Errorf("Field = %q, want %q (%v)", ce.Field, tc.field, err)
 			}
 		})
 	}
 }
 
-// TestBuildConfigSpecConversion pins the conversion contract left behind
-// by the deleted flat fields: a Replication/Heartbeat spec sets exactly
-// the ftpm fields the flat form used to, and a one-level Storage spec is
-// the same job again with the knobs on the servers level.
+// TestBuildConfigSpecConversion pins how the storage spellings reach the
+// runtime: Servers alone validates to the paper's one-level spec, a
+// one-level Storage spec carries its replication knobs unchanged, the
+// heartbeat spec is forwarded, and on the grid a servers-only spec is
+// accepted with the layout's server count.
 func TestBuildConfigSpecConversion(t *testing.T) {
-	want := func(name string, cfg ftpm.Config) {
+	validate := func(o Options) ftpm.Config {
 		t.Helper()
-		if cfg.Replicas != 2 || cfg.WriteQuorum != 1 || cfg.StoreRetries != 5 ||
-			cfg.RetryBackoff != time.Millisecond {
-			t.Errorf("%s: replication knobs not forwarded: %+v", name, cfg)
+		cfg, err := buildConfig(o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
 	}
-	cfg, err := buildConfig(Options{
+	cfg := validate(Options{
 		NP: 4, Protocol: Pcl, Interval: time.Second, Servers: 3,
-		Replication: &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond},
-		Heartbeat:   &HeartbeatSpec{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond},
+		Heartbeat: &HeartbeatSpec{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond},
 	})
-	if err != nil {
-		t.Fatalf("specs: %v", err)
+	want := LevelSpec{Kind: LevelServers, Servers: 3, Replicas: 1, WriteQuorum: 1}
+	if cfg.Servers != 3 || len(cfg.Storage.Levels) != 1 || cfg.Storage.Levels[0] != want {
+		t.Errorf("shorthand: Servers = %d, Storage = %+v, want the one-level spec %+v", cfg.Servers, cfg.Storage, want)
 	}
-	if cfg.Servers != 3 {
-		t.Errorf("Servers = %d, want 3", cfg.Servers)
-	}
-	want("flat specs", cfg)
 	if cfg.HeartbeatPeriod != 10*time.Millisecond || cfg.HeartbeatTimeout != 50*time.Millisecond {
 		t.Errorf("heartbeat spec not forwarded: %+v", cfg)
 	}
 
-	// The same replication expressed as a one-level storage hierarchy
-	// folds onto the identical flat runtime fields after validation.
-	cfg, err = buildConfig(Options{
-		NP: 4, Protocol: Pcl, Interval: time.Second,
-		Storage: &StorageSpec{Levels: []LevelSpec{{
-			Kind: LevelServers, Servers: 3,
-			Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond,
-		}}},
-	})
-	if err != nil {
-		t.Fatalf("storage spec: %v", err)
+	want = LevelSpec{Kind: LevelServers, Servers: 3,
+		Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond}
+	cfg = validate(Options{NP: 4, Protocol: Pcl, Interval: time.Second,
+		Storage: &StorageSpec{Levels: []LevelSpec{want}}})
+	if cfg.Servers != 3 || cfg.Storage.Levels[0] != want {
+		t.Errorf("storage spec: Servers = %d, level = %+v, want %+v", cfg.Servers, cfg.Storage.Levels[0], want)
 	}
-	if cfg.Storage == nil || len(cfg.Storage.Levels) != 1 {
-		t.Fatalf("Storage not converted: %+v", cfg.Storage)
+
+	cfg = validate(Options{NP: 16, ProcsPerNode: 2, Protocol: Vcl, Interval: time.Second, Platform: PlatformGrid,
+		Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 1, Replicas: 2}}}})
+	if srv := cfg.Storage.ServersLevel(); cfg.Servers != len(cfg.ServerNodes) || srv.Servers != cfg.Servers || srv.Replicas != 2 {
+		t.Errorf("grid: Servers = %d for %d placed servers, level %+v", cfg.Servers, len(cfg.ServerNodes), *srv)
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("storage spec validation: %v", err)
-	}
-	if cfg.Servers != 3 {
-		t.Errorf("Servers folded = %d, want 3", cfg.Servers)
-	}
-	want("storage spec", cfg)
 }
 
-// TestBuildConfigStorageHierarchy checks the multi-level conversion:
-// facade durations become sim times, the PFS targets widen the topology,
-// and the planner knobs ride along.
+// TestRunLeavesStorageSpecUntouched pins the deep copy: Run normalizes
+// its own copy of the spec, so a caller's spec with zero-valued defaults
+// comes back exactly as it went in.
+func TestRunLeavesStorageSpecUntouched(t *testing.T) {
+	sp := &StorageSpec{
+		Levels: []LevelSpec{
+			{Kind: LevelBuffer},
+			{Kind: LevelServers, Servers: 2},
+			{Kind: LevelPFS},
+		},
+		Incremental: true,
+	}
+	before := *sp
+	before.Levels = append([]LevelSpec(nil), sp.Levels...)
+	if _, err := Run(Options{Workload: WorkloadCGReal, NP: 4, Protocol: Pcl,
+		Interval: 5 * time.Millisecond, Storage: sp, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*sp, before) {
+		t.Errorf("Run changed the caller's spec:\n  before %+v\n  after  %+v", before, *sp)
+	}
+}
+
+// TestBuildConfigStorageHierarchy checks the multi-level spec: the level
+// knobs and planner knobs ride along and the PFS targets widen the
+// topology.
 func TestBuildConfigStorageHierarchy(t *testing.T) {
 	cfg, err := buildConfig(Options{
 		NP: 8, ProcsPerNode: 2, Protocol: Pcl, Interval: time.Second,

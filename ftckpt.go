@@ -154,9 +154,11 @@ type SweepOptions struct {
 // Each point runs against a private metrics registry (any Options.Metrics
 // on a point is ignored — sharing a registry across concurrent runs is a
 // data race), folded into o.Metrics afterwards.  Reports, merged metrics
-// and trace output are byte-identical for any Jobs value with the same
-// seeds.  The first point error cancels the remaining unstarted points
-// and is returned, naming the point.
+// and trace output do not depend on how points interleave, except that
+// checkpoint images embed per-process gob type ids: in a fresh process,
+// Jobs > 1 over points of different protocols may change which point
+// encodes first and so its image sizes.  The first point error cancels
+// the remaining unstarted points and is returned, naming the point.
 func Sweep(points []Options, o SweepOptions) ([]Report, error) {
 	regs := make([]*Metrics, len(points))
 	reps, err := sweep.Run(context.Background(), points,
@@ -207,38 +209,33 @@ func checksum(p mpi.Program) float64 {
 	}
 }
 
-// storageSpec converts the facade storage description into the internal
-// spec; ftpm.Config.Validate checks and normalizes it.
-func storageSpec(s *StorageSpec) *ckpt.Spec {
-	sp := &ckpt.Spec{
-		Incremental:   s.Incremental,
-		FullEvery:     s.FullEvery,
-		DirtyFraction: s.DirtyFraction,
-		Compress:      s.Compress,
-		CompressRatio: s.CompressRatio,
+// ConfigError is the rejection every invalid Options and every invalid
+// internal configuration is reported with: Field names the setting at
+// fault ("Options.Protocol", "Storage.Levels[2].Stripes") and Reason says
+// what is wrong with it.  Extract it with errors.As.
+type ConfigError = ftpm.ConfigError
+
+// optErr is a buildConfig rejection naming the Options field at fault.
+func optErr(field, format string, args ...any) error {
+	return &ConfigError{Field: "Options." + field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// cloneStorage deep-copies the caller's spec, levels included:
+// Config.Validate normalizes the spec in place, which must neither write
+// defaults into the caller's struct nor race between Sweep points that
+// share one spec.
+func cloneStorage(s *StorageSpec) *ckpt.Spec {
+	if s == nil {
+		return nil
 	}
-	for _, l := range s.Levels {
-		sp.Levels = append(sp.Levels, ckpt.LevelSpec{
-			Kind:         ckpt.LevelKind(l.Kind),
-			Servers:      l.Servers,
-			Replicas:     l.Replicas,
-			WriteQuorum:  l.WriteQuorum,
-			StoreRetries: l.StoreRetries,
-			RetryBackoff: sim.Time(l.RetryBackoff),
-			Bandwidth:    l.Bandwidth,
-			Latency:      sim.Time(l.Latency),
-			Capacity:     l.Capacity,
-			Retention:    l.Retention,
-			Targets:      l.Targets,
-			Stripes:      l.Stripes,
-		})
-	}
-	return sp
+	c := *s
+	c.Levels = append([]ckpt.LevelSpec(nil), s.Levels...)
+	return &c
 }
 
 func buildConfig(o Options) (ftpm.Config, error) {
 	if o.NP <= 0 {
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.NP must be positive, got %d", o.NP)
+		return ftpm.Config{}, optErr("NP", "must be positive, got %d", o.NP)
 	}
 	ppn := o.ProcsPerNode
 	if ppn <= 0 {
@@ -250,32 +247,23 @@ func buildConfig(o Options) (ftpm.Config, error) {
 	case Pcl, Vcl, Mlog:
 		proto = ftpm.Proto(o.Protocol)
 	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Protocol: unknown protocol %q (want %q, %q, %q or %q)",
+		return ftpm.Config{}, optErr("Protocol", "unknown protocol %q (want %q, %q, %q or %q)",
 			o.Protocol, ProtocolNone, Pcl, Vcl, Mlog)
 	}
 	servers := o.Servers
 	if servers <= 0 && proto != ftpm.ProtoNone {
 		servers = 1
 	}
-	var storage *ckpt.Spec
-	if o.Storage != nil {
+	storage := cloneStorage(o.Storage)
+	if storage != nil {
 		if o.Servers != 0 {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Servers conflicts with Options.Storage (set the servers level's Servers instead)")
+			return ftpm.Config{}, optErr("Servers", "conflicts with Options.Storage (set the servers level's Servers instead)")
 		}
-		if o.Replication != nil {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Replication conflicts with Options.Storage (set the replication knobs on the servers level instead)")
-		}
-		storage = storageSpec(o.Storage)
-		// The spec's servers level is the server count now; keeping the
-		// flat field equal makes the fold in Config.Validate a no-op.
+		// The servers level carries the count the topology is sized for.
 		servers = 0
 		if sl := storage.ServersLevel(); sl != nil {
 			servers = sl.Servers
 		}
-	}
-	var repl ReplicationSpec
-	if o.Replication != nil {
-		repl = *o.Replication
 	}
 	var hb HeartbeatSpec
 	if o.Heartbeat != nil {
@@ -291,11 +279,11 @@ func buildConfig(o Options) (ftpm.Config, error) {
 	case RecoveryULFM:
 		recovery = ftpm.RecoveryULFM
 	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Recovery: unknown mode %q (want %q or %q)",
+		return ftpm.Config{}, optErr("Recovery", "unknown mode %q (want %q or %q)",
 			o.Recovery, RecoveryRestart, RecoveryULFM)
 	}
 	if o.Spares < 0 {
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Spares must be non-negative, got %d", o.Spares)
+		return ftpm.Config{}, optErr("Spares", "must be non-negative, got %d", o.Spares)
 	}
 	ftEvery := 0
 	if recovery == ftpm.RecoveryULFM {
@@ -311,10 +299,6 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Interval:         o.Interval,
 		Servers:          servers,
 		Storage:          storage,
-		Replicas:         repl.Replicas,
-		WriteQuorum:      repl.WriteQuorum,
-		StoreRetries:     repl.StoreRetries,
-		RetryBackoff:     repl.RetryBackoff,
 		HeartbeatPeriod:  hb.Period,
 		HeartbeatTimeout: hb.Timeout,
 		VclProcessLimit:  o.VclProcessLimit,
@@ -332,7 +316,7 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Attrib:           o.Attribution,
 		SnapshotPeriod:   sim.Time(o.MetricsSnapshot),
 	}
-	for _, f := range o.Failures {
+	for i, f := range o.Failures {
 		ev := failure.Event{At: f.At}
 		switch f.Kind {
 		case "", "rank":
@@ -350,7 +334,8 @@ func buildConfig(o Options) (ftpm.Config, error) {
 			ev.Kind = failure.KindPFS
 			ev.Server = f.Server
 		default:
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Failures: unknown failure kind %q (use KillRank, KillNode, KillServer, KillBuffer or KillPFS)", f.Kind)
+			return ftpm.Config{}, optErr(fmt.Sprintf("Failures[%d].Kind", i),
+				"unknown failure kind %q (use KillRank, KillNode, KillServer, KillBuffer or KillPFS)", f.Kind)
 		}
 		cfg.Failures = append(cfg.Failures, ev)
 	}
@@ -379,24 +364,29 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		cfg.Profile = platform.PclSock
 	case PlatformGrid:
 		if o.Spares > 0 {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Spares: the grid platform's fixed layout has no spare slots")
+			return ftpm.Config{}, optErr("Spares", "the grid platform's fixed layout has no spare slots")
 		}
-		if storage != nil {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Storage: the grid platform's per-cluster server placement keeps the flat server model")
+		if storage != nil && len(storage.Levels) > 1 {
+			return ftpm.Config{}, optErr("Storage", "the grid platform's per-cluster server placement supports only a servers-only spec")
 		}
 		lay, err := platform.Grid5000Layout(o.NP, ppn, 1)
 		if err != nil {
-			return ftpm.Config{}, err
+			return ftpm.Config{}, optErr("NP", "%s", err.Error())
 		}
 		cfg.Topology = lay.Topo
 		cfg.Placement = lay.Placement
 		cfg.ServerNodes = lay.ServerNodes
 		cfg.ServerOf = lay.ServerOf
 		cfg.ServiceNode = lay.ServiceNode
+		// The layout places one server per cluster, overriding the
+		// requested count as it overrides Options.Servers.
 		cfg.Servers = lay.Servers
+		if storage != nil && storage.ServersLevel() != nil {
+			storage.ServersLevel().Servers = lay.Servers
+		}
 		cfg.Profile = platform.PclSock
 	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Platform: unknown platform %q (want %q, %q, %q or %q)",
+		return ftpm.Config{}, optErr("Platform", "unknown platform %q (want %q, %q, %q or %q)",
 			o.Platform, PlatformEthernet, PlatformMyrinetGM, PlatformMyrinetTCP, PlatformGrid)
 	}
 	if proto == ftpm.ProtoVcl || proto == ftpm.ProtoMlog {
@@ -412,7 +402,7 @@ func workloadFactory(o Options) (func(rank, size int) mpi.Program, error) {
 		class = string(ClassB)
 	}
 	wrapClass := func(err error) error {
-		return fmt.Errorf("ftckpt: Options.Class: %w", err)
+		return optErr("Class", "%s", err.Error())
 	}
 	switch o.Workload {
 	case "", WorkloadBT:
@@ -448,7 +438,7 @@ func workloadFactory(o Options) (func(rank, size int) mpi.Program, error) {
 		n := o.NP * 16
 		return func(rank, size int) mpi.Program { return nas.NewJacobi(rank, size, n, 2000) }, nil
 	default:
-		return nil, fmt.Errorf("ftckpt: Options.Workload: unknown workload %q (want %q, %q, %q, %q, %q, %q or %q)",
+		return nil, optErr("Workload", "unknown workload %q (want %q, %q, %q, %q, %q, %q or %q)",
 			o.Workload, WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadCGReal, WorkloadEP, WorkloadJacobi)
 	}
 }

@@ -80,6 +80,16 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// replicatedStorage is the storage of the golden suite's replicated
+// scenarios: one servers level of the given size keeping two copies of
+// every image, durable on the first, with two retries 1ms apart.
+func replicatedStorage(servers int) *StorageSpec {
+	return &StorageSpec{Levels: []LevelSpec{{
+		Kind: LevelServers, Servers: servers,
+		Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond,
+	}}}
+}
+
 // replicatedGolden is the replication + heartbeat scenario of the golden
 // suite: a server kill then a rank kill, recovered through failover.
 func replicatedGolden() Options {
@@ -89,8 +99,7 @@ func replicatedGolden() Options {
 		ProcsPerNode: 2,
 		Protocol:     Pcl,
 		Interval:     5 * time.Millisecond,
-		Servers:      3,
-		Replication:  &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond},
+		Storage:      replicatedStorage(3),
 		Heartbeat:    &HeartbeatSpec{Period: 2 * time.Millisecond},
 		Seed:         7,
 		Failures: []Failure{
@@ -110,10 +119,12 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 // runChaosSweep runs the golden suite's replicated, heartbeat-enabled
 // 4-point chaos sweep with the given worker count and returns the
 // reports (registry pointers stripped), the merged metrics JSON, each
-// point's Chrome trace and the serialized progress log.
+// point's Chrome trace and the serialized progress log.  All points share
+// one StorageSpec, so concurrent points also check that Run leaves the
+// caller's spec alone.
 func runChaosSweep(t *testing.T, jobs int) ([]Report, []byte, [][]byte, []byte) {
 	t.Helper()
-	repl := &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}
+	storage := replicatedStorage(3)
 	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
 	pts := []Options{
 		{Protocol: Pcl, Seed: 7, Failures: []Failure{
@@ -131,8 +142,7 @@ func runChaosSweep(t *testing.T, jobs int) ([]Report, []byte, [][]byte, []byte) 
 		pts[i].NP = 8
 		pts[i].ProcsPerNode = 2
 		pts[i].Interval = 5 * time.Millisecond
-		pts[i].Servers = 3
-		pts[i].Replication = repl
+		pts[i].Storage = storage
 		pts[i].Heartbeat = hb
 		cols[i] = NewCollector()
 		pts[i].Sink = cols[i]

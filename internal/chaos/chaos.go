@@ -208,9 +208,9 @@ func Run(c Config) (Outcome, error) {
 	// With a staging buffer the commit gate is the node-local write (one
 	// store-end event), not the server write quorum; mlog strips the
 	// staging levels and keeps the quorum gate.
-	quorum := cfg.WriteQuorum
-	if cfg.Storage != nil && cfg.Storage.Level(ckpt.LevelBuffer) >= 0 && cfg.Protocol != ftpm.ProtoMlog {
-		quorum = 1
+	quorum := 1
+	if cfg.Storage != nil && (cfg.Storage.Level(ckpt.LevelBuffer) < 0 || cfg.Protocol == ftpm.ProtoMlog) {
+		quorum = cfg.Storage.ServersLevel().WriteQuorum
 	}
 	out.Violations = checkInvariants(col.Events(), cfg.NP, quorum, cfg.Protocol)
 	// When the job carried a span tracer (Config.Job.Attrib), its overhead

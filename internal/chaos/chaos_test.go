@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ftckpt/internal/ckpt"
 	"ftckpt/internal/failure"
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
@@ -69,13 +70,12 @@ func chaosCfg(np int, proto ftpm.Proto) ftpm.Config {
 		NewProgram: func(rank, size int) mpi.Program {
 			return &ringProg{Rank: rank, Size: size, Iters: 150, Val: float64(rank + 1)}
 		},
-		Protocol:     proto,
-		Interval:     12 * time.Millisecond,
-		Servers:      2,
-		Replicas:     2,
-		WriteQuorum:  1,
-		StoreRetries: 3,
-		RetryBackoff: 2 * time.Millisecond,
+		Protocol: proto,
+		Interval: 12 * time.Millisecond,
+		Storage: &ckpt.Spec{Levels: []ckpt.LevelSpec{{
+			Kind: ckpt.LevelServers, Servers: 2,
+			Replicas: 2, WriteQuorum: 1, StoreRetries: 3, RetryBackoff: 2 * time.Millisecond,
+		}}},
 		RestartDelay: 2 * time.Millisecond,
 		SpareNodes:   2,
 		Deadline:     time.Hour,
@@ -119,7 +119,7 @@ func TestScheduleDeterministicAndInRange(t *testing.T) {
 				t.Fatalf("rank victim out of range: %v", ev)
 			}
 		case failure.KindServer:
-			if ev.Server < 0 || ev.Server >= cfg.Servers {
+			if ev.Server < 0 || ev.Server >= cfg.Storage.ServersLevel().Servers {
 				t.Fatalf("server victim out of range: %v", ev)
 			}
 		case failure.KindNode:
@@ -236,9 +236,7 @@ func TestChaosRecoversWithReplication(t *testing.T) {
 // that did happen must still satisfy the (now size-1) quorum.
 func TestChaosDegradesWithoutReplication(t *testing.T) {
 	cfg := chaosCfg(6, ftpm.ProtoPcl)
-	cfg.Replicas = 1
-	cfg.WriteQuorum = 1
-	cfg.StoreRetries = 0
+	cfg.Storage.Levels[0] = ckpt.LevelSpec{Kind: ckpt.LevelServers, Servers: 2}
 	// A server kill after the first commits, then at least one process
 	// kill to force a recovery that needs the lost images.
 	sp := findSeed(t, cfg, Spec{Kills: 3, ServerFrac: 0.34, NodeFrac: 0.2,

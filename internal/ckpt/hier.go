@@ -10,9 +10,9 @@
 // stripe target.
 //
 // Hierarchy wraps the replicated Group with that staging model.  A spec
-// with only the servers level degenerates to pure delegation, so runs
-// configured through the flat replication fields are byte-identical to
-// the pre-hierarchy code.  Recovery searches top-down: the node-local
+// with only the servers level (the paper's single tier, and the default
+// spec a config with just a server count gets) degenerates to pure
+// delegation to the group.  Recovery searches top-down: the node-local
 // buffer (free restore), then the server group, then the PFS stripes —
 // falling through dead levels and counting each fall-through as a
 // failover.
@@ -25,30 +25,41 @@ import (
 	"ftckpt/internal/simnet"
 )
 
-// LevelKind names a storage-hierarchy level class.
+// LevelKind names a tier of the checkpoint storage hierarchy.
 type LevelKind string
 
+// Storage level kinds, fastest to most durable.
 const (
-	// LevelBuffer is a node-local staging buffer (RAM disk / SSD): one
-	// per compute node, written at local-device speed, lost with the
-	// device.  Must be the first level when present.
+	// LevelBuffer is a node-local staging buffer (RAM disk / SSD): each
+	// compute node absorbs its ranks' images at local-device speed and
+	// drains them to the next level in the background.  Lost with the
+	// node.  Must be the first level when present.
 	LevelBuffer LevelKind = "buffer"
-	// LevelServers is the replicated checkpoint-server group — the
-	// paper's checkpoint servers.  Exactly one servers level is
-	// mandatory; a spec with only this level reproduces the flat model.
+	// LevelServers is the paper's checkpoint-server tier: dedicated
+	// nodes holding replicated images.  Exactly one servers level is
+	// mandatory; a spec with only this level is the paper's model.
 	LevelServers LevelKind = "servers"
-	// LevelPFS is a striped parallel file system over dedicated target
-	// nodes: cheapest per byte, most reliable, slowest.  Must be the
+	// LevelPFS is a parallel file system: images striped across Targets
+	// dedicated target nodes, slowest but most durable.  Must be the
 	// last level when present.
 	LevelPFS LevelKind = "pfs"
 )
 
-// LevelSpec configures one level of the hierarchy.  Which fields apply
-// depends on Kind; Spec.Normalize fills model defaults for the rest.
+// LevelSpec describes one tier of a Spec.  Zero fields take the level
+// kind's defaults (Spec.Normalize and validation fill them); fields that
+// do not apply to a kind are ignored.
 type LevelSpec struct {
+	// Kind is the tier: LevelBuffer, LevelServers or LevelPFS.
 	Kind LevelKind
 
-	// Servers-level fields (mirror the flat ftpm config).
+	// Servers is the LevelServers server count (at least 1); processes
+	// map to servers round-robin unless the runtime places them.
+	// Replicas keeps that many copies of every image and log set across
+	// the servers (default 1, the paper's single-copy model, at most
+	// Servers).  WriteQuorum is how many replicas must acknowledge
+	// before a store counts as durable (default all Replicas).
+	// StoreRetries bounds re-ship and recovery-fetch attempts after a
+	// replica dies; RetryBackoff is the delay before each retry.
 	Servers      int
 	Replicas     int
 	WriteQuorum  int
@@ -56,12 +67,13 @@ type LevelSpec struct {
 	RetryBackoff sim.Time
 
 	// Bandwidth is the level's per-target bandwidth in bytes/second:
-	// local-device write/read speed for the buffer, the per-stripe flow
-	// cap for the PFS.  Unused for the servers level (the network model
-	// owns it).
+	// local-device write/read speed for the buffer (default 2e9), the
+	// per-stripe flow cap for the PFS (default 1e9).  Unused for the
+	// servers level (the network model owns it).
 	Bandwidth float64
-	// Latency is the fixed per-operation setup cost (buffer only; the
-	// network model carries latency for the other levels).
+	// Latency is the fixed per-operation setup cost (buffer only,
+	// default 200µs; the network model carries latency for the other
+	// levels).
 	Latency sim.Time
 
 	// Capacity bounds a node buffer in bytes; 0 = unbounded.  When an
@@ -71,32 +83,36 @@ type LevelSpec struct {
 	// until GC.
 	Retention int
 
-	// Targets is the PFS target-node count; Stripes is how many targets
-	// one image is striped across.
+	// Targets is the PFS target-node count (default 4); Stripes is how
+	// many targets one image is striped across (default 2).
 	Targets int
 	Stripes int
 }
 
-// Spec is the full storage-hierarchy configuration: the ordered levels
-// (top first) plus the image-planning knobs shared by all levels.
+// Spec describes the checkpoint storage: Levels ordered fastest-first
+// (an optional LevelBuffer, the mandatory LevelServers, an optional
+// LevelPFS last) plus the image-planning knobs shared by all levels.
+// Writes complete at the fastest level and drain down asynchronously;
+// restores search from the fastest level and fall through on a miss or
+// a failed level.
 type Spec struct {
-	// Levels, top (fastest, least reliable) to bottom.  Exactly one
-	// LevelServers entry is required; LevelBuffer must be first and
-	// LevelPFS last when present.
+	// Levels, fastest first.  A single {Kind: LevelServers} level is the
+	// paper's single-tier checkpoint-server model.
 	Levels []LevelSpec
 
-	// Incremental captures dirty-region deltas between full images.
-	Incremental bool
-	// FullEvery forces a full image every n-th checkpoint per rank when
-	// Incremental (bounding delta-chain length); default 4.
-	FullEvery int
-	// DirtyFraction is the fraction of the full image dirtied per
-	// checkpoint interval; a delta d intervals past its base stores
-	// min(1, d·DirtyFraction) of the full size.  Default 0.35.
+	// Incremental switches to dirty-region checkpoints: every
+	// FullEvery-th image per rank is full (default 4), bounding the
+	// delta-chain length; the others carry only the regions touched
+	// since.  DirtyFraction is the fraction of the full image dirtied
+	// per checkpoint interval (default 0.35): a delta d intervals past
+	// its base stores min(1, d·DirtyFraction) of the full size, and a
+	// restore replays the chain since the last full image.
+	Incremental   bool
+	FullEvery     int
 	DirtyFraction float64
 
 	// Compress models checkpoint compression: stored and restored bytes
-	// shrink by CompressRatio (default 0.6).
+	// shrink by CompressRatio (default 0.6) before they hit any level.
 	Compress      bool
 	CompressRatio float64
 }

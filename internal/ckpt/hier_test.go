@@ -17,7 +17,7 @@ func hierSetup(k *sim.Kernel) (*Hierarchy, []*Server) {
 		Name: "c", Nodes: 5, NICBW: 100e6, Latency: 50 * time.Microsecond,
 	}}})
 	pool := []*Server{NewServer(net, 0, 1), NewServer(net, 1, 2)}
-	g := NewGroup(net, pool, 2, 2, nil)
+	g := NewGroup(net, pool, LevelSpec{Replicas: 2, WriteQuorum: 2}, nil)
 	spec := (&Spec{Levels: []LevelSpec{
 		{Kind: LevelBuffer},
 		{Kind: LevelServers, Servers: 2, Replicas: 2, WriteQuorum: 2},
@@ -129,7 +129,7 @@ func TestHierarchyBufferEviction(t *testing.T) {
 		Name: "c", Nodes: 3, NICBW: 100e6, Latency: 50 * time.Microsecond,
 	}}})
 	pool := []*Server{NewServer(net, 0, 1)}
-	g := NewGroup(net, pool, 1, 1, nil)
+	g := NewGroup(net, pool, LevelSpec{Replicas: 1, WriteQuorum: 1}, nil)
 	img := testImage(0, 1)
 	spec := (&Spec{Levels: []LevelSpec{
 		{Kind: LevelBuffer, Capacity: 2 * img.Bytes()},

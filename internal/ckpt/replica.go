@@ -45,32 +45,24 @@ type Group struct {
 	obs *obs.Hub
 }
 
-// NewGroup builds a replicated store over servers.  replicas is clamped
-// to the pool size, quorum to [1, replicas].  primaryOf nil means
-// rank % len(servers).
-func NewGroup(net *simnet.Network, servers []*Server, replicas, quorum int, primaryOf func(int) int) *Group {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(servers) {
-		replicas = len(servers)
-	}
-	if quorum < 1 {
-		quorum = 1
-	}
-	if quorum > replicas {
-		quorum = replicas
-	}
+// NewGroup builds a replicated store over servers from the servers
+// level's replication knobs.  Replicas is clamped to the pool size,
+// WriteQuorum to [1, replicas].  primaryOf nil means rank % len(servers).
+func NewGroup(net *simnet.Network, servers []*Server, lvl LevelSpec, primaryOf func(int) int) *Group {
+	replicas := min(max(lvl.Replicas, 1), len(servers))
+	quorum := min(max(lvl.WriteQuorum, 1), replicas)
 	if primaryOf == nil {
 		n := len(servers)
 		primaryOf = func(rank int) int { return rank % n }
 	}
 	return &Group{
-		servers:   servers,
-		net:       net,
-		Replicas:  replicas,
-		Quorum:    quorum,
-		PrimaryOf: primaryOf,
+		servers:    servers,
+		net:        net,
+		Replicas:   replicas,
+		Quorum:     quorum,
+		PrimaryOf:  primaryOf,
+		MaxRetries: lvl.StoreRetries,
+		Backoff:    lvl.RetryBackoff,
 	}
 }
 

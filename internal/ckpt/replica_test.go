@@ -18,7 +18,7 @@ func testGroup(k *sim.Kernel, servers, replicas, quorum int) (*Group, []*Server)
 	for i := range pool {
 		pool[i] = NewServer(net, i, i+2)
 	}
-	g := NewGroup(net, pool, replicas, quorum, nil)
+	g := NewGroup(net, pool, LevelSpec{Replicas: replicas, WriteQuorum: quorum}, nil)
 	return g, pool
 }
 

@@ -78,31 +78,21 @@ type Config struct {
 	// protocol infrastructure without periodic waves.
 	Protocol Proto
 	Interval sim.Time
-	// Servers is the number of checkpoint servers; processes are assigned
+	// Storage is the checkpoint storage: the servers level (the paper's
+	// checkpoint-server tier, with its replication and retry knobs), plus
+	// optional node-local staging buffer and striped PFS levels and the
+	// incremental/compressed image planner.  Nil with Servers > 0 is the
+	// paper's single tier: Validate sets it to the one-level spec
+	// {Levels: [{Kind: LevelServers, Servers: Servers}]}.  Validate
+	// normalizes the spec in place.
+	Storage *ckpt.Spec
+	// Servers is the one-level shorthand for Storage: the checkpoint
+	// server count.  With Storage set it must be 0 or equal to the servers
+	// level's count; Validate sets it from the spec either way, and the
+	// runtime reads it as the server count.  Processes are assigned
 	// round-robin (rank mod Servers) unless ServerOf is set.
 	Servers  int
 	ServerOf func(rank int) int
-	// Replicas is how many copies of each image and log set are kept
-	// across checkpoint servers (k-way replication, ServerOf picking the
-	// primary); 0 or 1 keeps the paper's single-copy model.  WriteQuorum
-	// is how many replicas must acknowledge before a store counts as
-	// durable (0 means all Replicas).
-	Replicas    int
-	WriteQuorum int
-	// StoreRetries bounds per-replica re-ship attempts after a replica
-	// dies mid-store; RetryBackoff is the delay before each retry (also
-	// the delay between recovery-fetch attempts while copies may still be
-	// in flight to surviving replicas).
-	StoreRetries int
-	RetryBackoff sim.Time
-	// Storage configures the multi-level checkpoint storage hierarchy
-	// (node-local staging buffer, replicated servers, striped PFS, plus
-	// incremental/compressed images).  When set, the flat Servers/
-	// Replicas/WriteQuorum/StoreRetries/RetryBackoff fields above must be
-	// zero: Validate copies the servers-level values into them, so
-	// exactly one of the two forms describes the server tier.  Nil keeps
-	// the flat single-level model.
-	Storage *ckpt.Spec
 	// HeartbeatPeriod > 0 replaces the paper's instant failure detection
 	// (the dying task's TCP connection breaks immediately) with a
 	// heartbeat detector: the dispatcher pings every rank and checkpoint
@@ -231,17 +221,19 @@ func (r Result) String() string {
 
 // ConfigError is the single rejection shape Validate reports: the
 // Config field at fault plus the reason, so callers (and flag parsers
-// layered on top) can name the offending knob mechanically.
+// layered on top) can name the offending knob mechanically.  The ftckpt
+// facade reports its Options rejections with the same type.
 type ConfigError struct {
-	// Field is the Config field (dotted for storage levels, e.g.
-	// "Storage.Levels[0].Kind") that made the configuration invalid.
+	// Field is the setting (dotted for storage levels, e.g.
+	// "Storage.Levels[0].Kind"; "Options."-prefixed from the facade)
+	// that made the configuration invalid.
 	Field string
 	// Reason says what is wrong with it.
 	Reason string
 }
 
 func (e *ConfigError) Error() string {
-	return fmt.Sprintf("ftpm: %s: %s", e.Field, e.Reason)
+	return e.Field + ": " + e.Reason
 }
 
 func cfgErr(field, format string, args ...any) error {
@@ -287,30 +279,6 @@ func (c *Config) Validate() error {
 	}
 	if c.NodeMTTF < 0 {
 		return cfgErr("NodeMTTF", "must be non-negative, got %v", c.NodeMTTF)
-	}
-	if c.Replicas < 0 {
-		return cfgErr("Replicas", "must be non-negative, got %d", c.Replicas)
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas > c.Servers && c.Protocol != ProtoNone {
-		return cfgErr("Replicas", "%d replicas exceed the number of servers (%d)", c.Replicas, c.Servers)
-	}
-	if c.WriteQuorum < 0 {
-		return cfgErr("WriteQuorum", "must be non-negative, got %d", c.WriteQuorum)
-	}
-	if c.WriteQuorum == 0 {
-		c.WriteQuorum = c.Replicas
-	}
-	if c.WriteQuorum > c.Replicas {
-		return cfgErr("WriteQuorum", "quorum %d exceeds Replicas (%d)", c.WriteQuorum, c.Replicas)
-	}
-	if c.StoreRetries < 0 {
-		return cfgErr("StoreRetries", "must be non-negative, got %d", c.StoreRetries)
-	}
-	if c.RetryBackoff < 0 {
-		return cfgErr("RetryBackoff", "must be non-negative, got %v", c.RetryBackoff)
 	}
 	if c.HeartbeatPeriod < 0 {
 		return cfgErr("HeartbeatPeriod", "must be non-negative, got %v", c.HeartbeatPeriod)
@@ -383,41 +351,24 @@ func (c *Config) pfsTargets() int {
 	return 0
 }
 
-// validateStorage checks the typed storage hierarchy and, when present,
-// folds its servers-level values into the flat fields the runtime
-// reads, rejecting configs that set both forms.
+// validateStorage checks the storage spec, building the paper's
+// one-level default from Servers when Storage is nil, applies the
+// servers level's replication defaults and sets Servers from it.  A
+// second call on the result is a no-op: harnesses validate before
+// handing the config to NewJob, which validates again.
 func (c *Config) validateStorage() error {
+	if c.Servers < 0 {
+		return cfgErr("Servers", "must be non-negative, got %d", c.Servers)
+	}
 	if c.Storage == nil {
-		return nil
+		if c.Servers == 0 {
+			return nil
+		}
+		c.Storage = &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: c.Servers}}}
 	}
 	sp := c.Storage
 	if len(sp.Levels) == 0 {
 		return cfgErr("Storage.Levels", "a storage spec needs at least the servers level")
-	}
-	// The flat server fields must be unset — or exactly the values a
-	// previous Validate folded out of this same spec, so validation is
-	// idempotent (harnesses validate before handing the config to Run).
-	srvLevel := sp.ServersLevel()
-	folded := func(flat int, spec func(*ckpt.LevelSpec) int) bool {
-		return flat == 0 || (srvLevel != nil && flat == spec(srvLevel))
-	}
-	if !folded(c.Servers, func(l *ckpt.LevelSpec) int { return l.Servers }) {
-		return cfgErr("Servers", "conflicts with Storage (set the servers level's Servers instead)")
-	}
-	if !folded(c.Replicas, func(l *ckpt.LevelSpec) int { return l.Replicas }) {
-		return cfgErr("Replicas", "conflicts with Storage (set the servers level's Replicas instead)")
-	}
-	if !folded(c.WriteQuorum, func(l *ckpt.LevelSpec) int { return l.WriteQuorum }) {
-		return cfgErr("WriteQuorum", "conflicts with Storage (set the servers level's WriteQuorum instead)")
-	}
-	if !folded(c.StoreRetries, func(l *ckpt.LevelSpec) int { return l.StoreRetries }) {
-		return cfgErr("StoreRetries", "conflicts with Storage (set the servers level's StoreRetries instead)")
-	}
-	if !folded(int(c.RetryBackoff), func(l *ckpt.LevelSpec) int { return int(l.RetryBackoff) }) {
-		return cfgErr("RetryBackoff", "conflicts with Storage (set the servers level's RetryBackoff instead)")
-	}
-	if c.ServerNodes != nil {
-		return cfgErr("ServerNodes", "explicit server placement (grid platforms) keeps the flat server model; Storage is not supported there")
 	}
 	srvSeen := -1
 	for i := range sp.Levels {
@@ -428,7 +379,7 @@ func (c *Config) validateStorage() error {
 			if i != 0 {
 				return cfgErr(field("Kind"), "the buffer is the staging level and must come first")
 			}
-			if l.Bandwidth < 0 {
+			if !(l.Bandwidth >= 0) { // NaN too
 				return cfgErr(field("Bandwidth"), "must be non-negative, got %g", l.Bandwidth)
 			}
 			if l.Latency < 0 {
@@ -460,6 +411,18 @@ func (c *Config) validateStorage() error {
 			if l.RetryBackoff < 0 {
 				return cfgErr(field("RetryBackoff"), "must be non-negative, got %v", l.RetryBackoff)
 			}
+			if l.Replicas == 0 {
+				l.Replicas = 1
+			}
+			if l.Replicas > l.Servers {
+				return cfgErr(field("Replicas"), "%d replicas exceed the number of servers (%d)", l.Replicas, l.Servers)
+			}
+			if l.WriteQuorum == 0 {
+				l.WriteQuorum = l.Replicas
+			}
+			if l.WriteQuorum > l.Replicas {
+				return cfgErr(field("WriteQuorum"), "quorum %d exceeds Replicas (%d)", l.WriteQuorum, l.Replicas)
+			}
 		case ckpt.LevelPFS:
 			if i != len(sp.Levels)-1 {
 				return cfgErr(field("Kind"), "the PFS is the bottom level and must come last")
@@ -470,7 +433,7 @@ func (c *Config) validateStorage() error {
 			if l.Stripes < 0 {
 				return cfgErr(field("Stripes"), "must be non-negative, got %d", l.Stripes)
 			}
-			if l.Bandwidth < 0 {
+			if !(l.Bandwidth >= 0) { // NaN too
 				return cfgErr(field("Bandwidth"), "must be non-negative, got %g", l.Bandwidth)
 			}
 		default:
@@ -481,31 +444,22 @@ func (c *Config) validateStorage() error {
 	if srvSeen < 0 {
 		return cfgErr("Storage.Levels", "a servers level is mandatory (it is the paper's checkpoint-server tier)")
 	}
+	if c.Servers != 0 && c.Servers != sp.Levels[srvSeen].Servers {
+		return cfgErr("Servers", "conflicts with Storage (set the servers level's Servers instead)")
+	}
+	if c.ServerNodes != nil && len(sp.Levels) > 1 {
+		return cfgErr("ServerNodes", "explicit server placement (grid platforms) supports only a servers-only Storage spec")
+	}
 	if sp.FullEvery < 0 {
 		return cfgErr("Storage.FullEvery", "must be non-negative, got %d", sp.FullEvery)
 	}
-	if sp.DirtyFraction < 0 || sp.DirtyFraction > 1 {
+	if !(sp.DirtyFraction >= 0 && sp.DirtyFraction <= 1) { // NaN too
 		return cfgErr("Storage.DirtyFraction", "must be in [0, 1], got %g", sp.DirtyFraction)
 	}
-	if sp.CompressRatio < 0 || sp.CompressRatio > 1 {
+	if !(sp.CompressRatio >= 0 && sp.CompressRatio <= 1) {
 		return cfgErr("Storage.CompressRatio", "must be in [0, 1], got %g", sp.CompressRatio)
 	}
 	sp.Normalize()
-	// Fold the servers level into the flat fields: the launch and retry
-	// paths read those, so one source of truth feeds both forms.  The
-	// flat defaults are applied inside the spec first, keeping the two
-	// forms equal so a re-validation stays a no-op.
-	srv := &sp.Levels[srvSeen]
-	if srv.Replicas == 0 {
-		srv.Replicas = 1
-	}
-	if srv.WriteQuorum == 0 {
-		srv.WriteQuorum = srv.Replicas
-	}
-	c.Servers = srv.Servers
-	c.Replicas = srv.Replicas
-	c.WriteQuorum = srv.WriteQuorum
-	c.StoreRetries = srv.StoreRetries
-	c.RetryBackoff = srv.RetryBackoff
+	c.Servers = sp.Levels[srvSeen].Servers
 	return nil
 }

@@ -139,21 +139,16 @@ func NewJob(cfg Config) (*Job, error) {
 		s.SetObs(job.hub)
 		job.servers = append(job.servers, s)
 	}
-	if cfg.Servers > 0 {
-		job.group = ckpt.NewGroup(job.net, job.servers, cfg.Replicas, cfg.WriteQuorum, cfg.ServerOf)
-		job.group.MaxRetries = cfg.StoreRetries
-		job.group.Backoff = cfg.RetryBackoff
-		// Every job writes through a storage hierarchy; without a typed
-		// spec it degenerates to the bare server group (byte-identical to
-		// the flat model).  Mlog drops the staging levels: its per-rank
-		// recovery fetches image+log unions from the group the moment a
-		// failure is detected, which an asynchronous drain cannot honor.
-		spec := ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: cfg.Servers}}}
-		if cfg.Storage != nil {
-			spec = *cfg.Storage
-			if cfg.Protocol == ProtoMlog {
-				spec = *spec.WithoutStaging()
-			}
+	if cfg.Storage != nil {
+		job.group = ckpt.NewGroup(job.net, job.servers, *cfg.Storage.ServersLevel(), cfg.ServerOf)
+		// Every job writes through a storage hierarchy; a servers-only
+		// spec degenerates to the bare server group.  Mlog drops the
+		// staging levels: its per-rank recovery fetches image+log unions
+		// from the group the moment a failure is detected, which an
+		// asynchronous drain cannot honor.
+		spec := *cfg.Storage
+		if cfg.Protocol == ProtoMlog {
+			spec = *spec.WithoutStaging()
 		}
 		var pfsNodes []int
 		if i := spec.Level(ckpt.LevelPFS); i >= 0 {
@@ -649,10 +644,10 @@ func (job *Job) launch(wave int) {
 			if job.gen != gen || job.doneRes {
 				return
 			}
-			if attempt < job.cfg.StoreRetries {
+			if attempt < job.group.MaxRetries {
 				// Copies may still be in flight towards surviving
 				// replicas; back off and retry before giving up.
-				job.k.After(job.cfg.RetryBackoff, func() {
+				job.k.After(job.group.Backoff, func() {
 					if job.gen == gen && !job.doneRes {
 						fetchOne(r, attempt+1)
 					}
@@ -817,8 +812,8 @@ func (job *Job) onFailureLocal(rank int) {
 				if job.doneRes {
 					return
 				}
-				if attempt < job.cfg.StoreRetries {
-					job.k.After(job.cfg.RetryBackoff, func() {
+				if attempt < job.group.MaxRetries {
+					job.k.After(job.group.Backoff, func() {
 						if !job.doneRes {
 							tryFetch(attempt + 1)
 						}

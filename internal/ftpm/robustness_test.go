@@ -6,9 +6,17 @@ import (
 	"testing"
 	"time"
 
+	"ftckpt/internal/ckpt"
 	"ftckpt/internal/failure"
 	"ftckpt/internal/obs"
 )
+
+// replicate gives cfg the one-level storage spec of its server count
+// with the replication knobs of l.
+func replicate(cfg *Config, l ckpt.LevelSpec) {
+	l.Kind, l.Servers = ckpt.LevelServers, cfg.Servers
+	cfg.Storage = &ckpt.Spec{Levels: []ckpt.LevelSpec{l}}
+}
 
 // TestServerFailoverRecovery is the headline replication scenario: a
 // checkpoint server dies mid-wave, the write quorum of 1 keeps waves
@@ -24,8 +32,7 @@ func TestServerFailoverRecovery(t *testing.T) {
 			cfg.Protocol = proto
 			cfg.Interval = 15 * time.Millisecond
 			cfg.RestartDelay = 2 * time.Millisecond
-			cfg.Replicas = 2
-			cfg.WriteQuorum = 1
+			replicate(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 			cfg.Failures = failure.Plan{
 				// Server 0 dies while wave transfers are typically in
 				// flight; server 0 is the primary for even ranks.
@@ -66,10 +73,7 @@ func TestServerFailoverDeterministic(t *testing.T) {
 		cfg.Protocol = ProtoPcl
 		cfg.Interval = 15 * time.Millisecond
 		cfg.RestartDelay = 2 * time.Millisecond
-		cfg.Replicas = 2
-		cfg.WriteQuorum = 1
-		cfg.StoreRetries = 1
-		cfg.RetryBackoff = time.Millisecond
+		replicate(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 1, RetryBackoff: time.Millisecond})
 		cfg.Failures = failure.Plan{
 			failure.KillServerAt(35*time.Millisecond, 0)[0],
 			{At: 80 * time.Millisecond, Rank: 2},
@@ -100,7 +104,6 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.RestartDelay = 2 * time.Millisecond
-	cfg.Replicas = 1
 	cfg.Failures = failure.Plan{
 		// Server 0 dies between waves, after at least one commit; rank
 		// 2's only image copy dies with it.
@@ -175,8 +178,7 @@ func TestHeartbeatDetectsServerDeath(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Replicas = 2
-	cfg.WriteQuorum = 1
+	replicate(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 	cfg.HeartbeatPeriod = 2 * time.Millisecond
 	cfg.HeartbeatTimeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillServerAt(35*time.Millisecond, 1)
@@ -211,9 +213,9 @@ func TestRobustnessConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"negative restart delay", func(c *Config) { c.RestartDelay = -time.Second }, "RestartDelay"},
-		{"replicas exceed servers", func(c *Config) { c.Replicas = 3 }, "Replicas"},
-		{"quorum exceeds replicas", func(c *Config) { c.Replicas = 2; c.WriteQuorum = 3 }, "WriteQuorum"},
-		{"negative store retries", func(c *Config) { c.StoreRetries = -1 }, "StoreRetries"},
+		{"replicas exceed servers", func(c *Config) { replicate(c, ckpt.LevelSpec{Replicas: 3}) }, "Replicas"},
+		{"quorum exceeds replicas", func(c *Config) { replicate(c, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 3}) }, "WriteQuorum"},
+		{"negative store retries", func(c *Config) { replicate(c, ckpt.LevelSpec{StoreRetries: -1}) }, "StoreRetries"},
 		{"period not below timeout", func(c *Config) {
 			c.HeartbeatPeriod = 10 * time.Millisecond
 			c.HeartbeatTimeout = 10 * time.Millisecond
@@ -236,13 +238,13 @@ func TestRobustnessConfigValidation(t *testing.T) {
 	}
 	// Defaults: WriteQuorum 0 means all replicas, timeout 0 means 4×period.
 	cfg := good()
-	cfg.Replicas = 2
+	replicate(&cfg, ckpt.LevelSpec{Replicas: 2})
 	cfg.HeartbeatPeriod = 3 * time.Millisecond
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WriteQuorum != 2 {
-		t.Fatalf("WriteQuorum defaulted to %d, want 2", cfg.WriteQuorum)
+	if q := cfg.Storage.ServersLevel().WriteQuorum; q != 2 {
+		t.Fatalf("WriteQuorum defaulted to %d, want 2", q)
 	}
 	if cfg.HeartbeatTimeout != 12*time.Millisecond {
 		t.Fatalf("HeartbeatTimeout defaulted to %v, want 12ms", cfg.HeartbeatTimeout)

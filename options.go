@@ -1,6 +1,10 @@
 package ftckpt
 
-import "time"
+import (
+	"time"
+
+	"ftckpt/internal/ckpt"
+)
 
 // Typed facade constants.  Protocol, Platform, Workload and Class are
 // string-backed, so the stringly-typed literals of earlier releases
@@ -137,20 +141,6 @@ func KillPFS(at time.Duration, target int) Failure {
 	return Failure{At: at, Kind: "pfs", Server: target}
 }
 
-// ReplicationSpec groups the checkpoint-image replication knobs.
-type ReplicationSpec struct {
-	// Replicas keeps that many copies of every image and log set across
-	// the checkpoint servers (default 1, the paper's single-copy model).
-	Replicas int
-	// WriteQuorum is how many replicas must acknowledge before a store
-	// counts as durable (default all Replicas).
-	WriteQuorum int
-	// StoreRetries bounds re-ship and recovery-fetch attempts after a
-	// replica dies; RetryBackoff is the delay before each retry.
-	StoreRetries int
-	RetryBackoff time.Duration
-}
-
 // HeartbeatSpec groups the failure-detector knobs.  A non-nil spec with
 // Period > 0 replaces instant failure detection with a heartbeat
 // detector: the dispatcher pings ranks and servers each Period and
@@ -160,78 +150,26 @@ type HeartbeatSpec struct {
 	Timeout time.Duration
 }
 
+// StorageSpec describes the checkpoint storage: the paper's
+// checkpoint-server tier (LevelServers, with its replication and retry
+// knobs) plus optional node-local staging buffer and striped PFS levels
+// and the incremental/compressed image planner.  Options.Servers is the
+// shorthand for the one-level spec; Run copies the spec before filling
+// its defaults, so one spec may be shared by many Options.
+type StorageSpec = ckpt.Spec
+
+// LevelSpec describes one tier of a StorageSpec.
+type LevelSpec = ckpt.LevelSpec
+
 // LevelKind names a tier of the checkpoint storage hierarchy.
-type LevelKind string
+type LevelKind = ckpt.LevelKind
 
 // Storage level kinds, fastest to most durable.
 const (
-	// LevelBuffer is a node-local staging buffer: each compute node
-	// absorbs its ranks' images at local-memory speed and drains them to
-	// the next level in the background.  Lost with the node.
-	LevelBuffer LevelKind = "buffer"
-	// LevelServers is the paper's checkpoint-server tier — dedicated
-	// nodes holding replicated images, the only mandatory level.
-	LevelServers LevelKind = "servers"
-	// LevelPFS is a parallel file system: images striped across Targets
-	// backend targets, slowest but most durable.
-	LevelPFS LevelKind = "pfs"
+	LevelBuffer  = ckpt.LevelBuffer
+	LevelServers = ckpt.LevelServers
+	LevelPFS     = ckpt.LevelPFS
 )
-
-// LevelSpec describes one tier of a StorageSpec.  Zero fields take the
-// level kind's defaults; fields that do not apply to a kind must stay
-// zero (Servers/Replicas/WriteQuorum are for LevelServers,
-// Targets/Stripes for LevelPFS).
-type LevelSpec struct {
-	// Kind is the tier: LevelBuffer, LevelServers or LevelPFS.
-	Kind LevelKind
-	// Servers, Replicas, WriteQuorum, StoreRetries and RetryBackoff are
-	// the LevelServers knobs — the same knobs ReplicationSpec and
-	// Options.Servers configure for the flat single-level model.
-	Servers      int
-	Replicas     int
-	WriteQuorum  int
-	StoreRetries int
-	RetryBackoff time.Duration
-	// Bandwidth (bytes/s) and Latency shape the level's transfer model
-	// for LevelBuffer and LevelPFS (LevelServers uses the platform
-	// network).  0 keeps the kind's default.
-	Bandwidth float64
-	Latency   time.Duration
-	// Capacity bounds a buffer level's staged bytes per node (0 =
-	// unbounded); the oldest staged image is evicted when full.
-	// Retention bounds staged images per rank the same way.
-	Capacity  int64
-	Retention int
-	// Targets is the PFS backend-target count (default 4); Stripes is
-	// how many targets one image is striped across (default 2).
-	Targets int
-	Stripes int
-}
-
-// StorageSpec describes a multi-level checkpoint storage hierarchy:
-// Levels ordered fastest-first (an optional LevelBuffer, the mandatory
-// LevelServers, an optional LevelPFS last).  Writes complete at the
-// fastest level and drain down asynchronously; restores search from the
-// fastest level and fall through on a miss or a failed level.  Setting
-// Storage conflicts with Options.Servers and Options.Replication — the
-// servers level carries those knobs instead.
-type StorageSpec struct {
-	// Levels, fastest first.  A single {Kind: LevelServers} level is the
-	// flat model expressed in the new form.
-	Levels []LevelSpec
-	// Incremental switches to dirty-region checkpoints: every FullEvery-th
-	// image per rank is full (default 4), the others carry only the
-	// regions touched since — DirtyFraction of the image per elapsed
-	// interval (default 0.35), restore replaying the chain since the
-	// last full image.
-	Incremental   bool
-	FullEvery     int
-	DirtyFraction float64
-	// Compress scales stored and restored bytes by CompressRatio
-	// (default 0.6) before they hit any level.
-	Compress      bool
-	CompressRatio float64
-}
 
 // Options describes one fault-tolerant MPI run.
 type Options struct {
@@ -253,18 +191,17 @@ type Options struct {
 	Protocol Protocol
 	Interval time.Duration
 	// Servers is the number of checkpoint servers (default 1 when
-	// checkpointing).  Conflicts with Storage, whose servers level
-	// carries the count instead.
+	// checkpointing): the shorthand for a Storage spec holding only
+	// {Kind: LevelServers, Servers: Servers}.  Conflicts with Storage.
 	Servers int
-	// Replication groups the replication knobs; nil keeps the paper's
-	// single-copy model.  Conflicts with Storage.
-	Replication *ReplicationSpec
 	// Heartbeat enables the ping/timeout failure detector; nil keeps
 	// instant failure detection.
 	Heartbeat *HeartbeatSpec
-	// Storage selects the multi-level checkpoint storage hierarchy; nil
-	// keeps the flat single-level server model that Servers and
-	// Replication configure.
+	// Storage describes the checkpoint storage, replication included;
+	// nil keeps the paper's single-copy server tier of Servers servers.
+	// On PlatformGrid the layout places one server per cluster, so only
+	// a servers-only spec is accepted there and its Servers count is
+	// replaced by the layout's.
 	Storage *StorageSpec
 	// Platform is PlatformEthernet (default), PlatformMyrinetGM,
 	// PlatformMyrinetTCP or PlatformGrid.
